@@ -40,6 +40,7 @@ from typing import List, Optional
 
 from repro import api
 from repro.apps.registry import APPLICATION_NAMES, make_application
+from repro.apps.scaling import level_cap
 from repro.caching import SurfaceCache, default_cache_dir
 from repro.campaigns import CampaignGrid, migrate_store, open_store
 from repro.campaigns.store import BACKEND_NAMES, SIDECAR_PROFILES, SIDECAR_TELEMETRY
@@ -86,11 +87,27 @@ _EXTRA_STRATEGIES = (
 )
 
 
+def _scale_arg(text: str):
+    """``--scale``: a preset name, or a number as a per-parameter level cap."""
+    try:
+        scale = int(text)
+    except ValueError:
+        scale = text
+    try:
+        level_cap(scale)
+    except ReproError as exc:
+        raise argparse.ArgumentTypeError(f"{exc} (fix --scale)") from None
+    return scale
+
+
 def _add_common(parser: argparse.ArgumentParser) -> None:
     parser.add_argument(
         "--app", default="redis", choices=APPLICATION_NAMES, help="application to tune"
     )
-    parser.add_argument("--scale", default="bench", help="space scale preset")
+    parser.add_argument(
+        "--scale", default="bench", type=_scale_arg,
+        help="space scale preset (test, bench, full) or a level cap",
+    )
     parser.add_argument("--seed", type=int, default=0, help="master seed")
     parser.add_argument(
         "--vm", default="m5.8xlarge", choices=sorted(PRESETS), help="instance type"
@@ -923,7 +940,10 @@ def build_parser() -> argparse.ArgumentParser:
         help="comma-separated tournament-format recipes — the tournament-"
              f"shape sweep axis (registered: {', '.join(TOURNAMENT_FORMAT_NAMES)})",
     )
-    p_sweep.add_argument("--scale", default="bench", help="space scale preset")
+    p_sweep.add_argument(
+        "--scale", default="bench", type=_scale_arg,
+        help="space scale preset (test, bench, full) or a level cap",
+    )
     p_sweep.add_argument(
         "--eval-runs", type=int, default=100,
         help="post-tuning evaluation executions per campaign",
@@ -1002,7 +1022,10 @@ def build_parser() -> argparse.ArgumentParser:
         "--apps", default=",".join(APPLICATION_NAMES),
         help="comma-separated application names",
     )
-    p_cwarm.add_argument("--scale", default="bench", help="space scale preset")
+    p_cwarm.add_argument(
+        "--scale", default="bench", type=_scale_arg,
+        help="space scale preset (test, bench, full) or a level cap",
+    )
     _add_cache_dir(p_cwarm)
     p_cwarm.set_defaults(func=_cmd_cache_warm)
 
@@ -1059,7 +1082,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_exp = sub.add_parser("experiment", help="run a paper experiment")
     p_exp.add_argument("--name", required=True, choices=_EXPERIMENTS)
-    p_exp.add_argument("--scale", default="bench")
+    p_exp.add_argument("--scale", default="bench", type=_scale_arg)
     p_exp.add_argument("--seed", type=int, default=0)
     p_exp.add_argument("--repeats", type=int, default=3)
     p_exp.add_argument(

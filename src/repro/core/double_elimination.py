@@ -82,7 +82,7 @@ class DoubleEliminationGlobalPhase:
         """Deal players into region-diverse groups (the scheduler's rule)."""
         return form_groups(
             players, n_games, rng,
-            group_key=lambda p: self.records.get(p).region_id,
+            group_key=lambda p: self.records.region_id[p],
         )
 
     def _format(self) -> GroupedDoubleElimination:
@@ -91,7 +91,7 @@ class DoubleEliminationGlobalPhase:
             players_per_game=self._players_per_game(),
             target=cfg.main_bracket_target,
             double_elimination=cfg.double_elimination,
-            group_key=lambda p: self.records.get(p).region_id,
+            group_key=lambda p: self.records.region_id[p],
             seed_order=lambda players: self.records.combined_rank_order(
                 players,
                 use_execution=cfg.use_execution_score,

@@ -147,7 +147,7 @@ class DynamicFeedbackDarwinGame:
         """Run the tournament, then feedback loops over the late-phase field."""
         base = DarwinGame(self.config).tune(app, env)
         dims = self._dynamic_dims(app)
-        records = RecordBook()
+        records = RecordBook(app.space.size)
         _ = ensure_rng(self.config.seed)  # reserved for tie-breaking policies
 
         # Every configuration that survived into the playoffs is re-ranked

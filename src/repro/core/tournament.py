@@ -114,8 +114,6 @@ class DarwinGame:
 
     def _direct_entrants(
         self,
-        app: ApplicationModel,
-        records: RecordBook,
         rng: np.random.Generator,
         details: dict,
         index_range: Tuple[int, int],
@@ -125,8 +123,6 @@ class DarwinGame:
         n = min(stop - start, self.config.no_regional_entrant_cap)
         block = Region(0, start, stop)
         entrants = [int(i) for i in block.sample(n, child(rng), replace=False)]
-        for index in entrants:
-            records.get(index)
         details["regional"] = {"regions": 0, "games": 0, "rounds": 0, "winners": n}
         return entrants
 
@@ -195,7 +191,7 @@ class DarwinGame:
         """
         cfg = self.config
         rng = ensure_rng(cfg.seed)
-        records = RecordBook()
+        records = RecordBook(app.space.size)
         # One executor runs every phase: one batched play path, one score
         # book, one clock/core-hour accounting point.
         executor = MatchExecutor(env, app, cfg, records)
@@ -211,7 +207,7 @@ class DarwinGame:
         if cfg.regional_phase:
             entrants = self._regional_phase(executor, rng, details, span)
         else:
-            entrants = self._direct_entrants(app, records, rng, details, span)
+            entrants = self._direct_entrants(rng, details, span)
         if not entrants:
             raise TournamentError("the regional phase produced no winners")
 

@@ -166,6 +166,9 @@ class StreakSwissRun:
     One multi-player lineup per round.  The machine is oblivious to how its
     rounds are simulated — the driver decides whether rounds from many pools
     are batched together (regions in lockstep) or played one at a time.
+    ``scores`` maps an int64 array of played players to their selection
+    scores; ``on_assign`` is told every lineup (and a lone player) as it is
+    drawn.
     """
 
     def __init__(
@@ -174,8 +177,8 @@ class StreakSwissRun:
         pool: PlayerPool,
         rng: np.random.Generator,
         *,
-        scores: Callable[[Sequence[int]], np.ndarray],
-        on_assign: Optional[Callable[[int], None]] = None,
+        scores: Callable[[np.ndarray], np.ndarray],
+        on_assign: Optional[Callable[[List[int]], None]] = None,
     ) -> None:
         self.pool = pool
         self.rng = rng
@@ -186,11 +189,11 @@ class StreakSwissRun:
         self.streak = 0
         self.round_no = 0
         self.done = False
-        # Ordered set of everyone who has played (and so carries a score):
-        # position map plus the matching list, maintained incrementally.
+        # Everyone who has played (and so carries a score), in
+        # first-appearance order: an append-only array the score gathers
+        # read directly, plus its position map for O(1) membership.
         self._played: Dict[int, int] = {}
-        self._played_list: List[int] = []
-        self._assigned: set = set()
+        self._played_arr = np.empty(0, dtype=np.int64)
         self._lineup: Optional[List[int]] = None
         self.lone: Optional[int] = None
         self._swiss = format_.swiss_style
@@ -200,7 +203,7 @@ class StreakSwissRun:
         if pool.size == 1:
             # Degenerate single-player pool: the lone player advances unplayed.
             self.lone = pool.start
-            self._notify_assigned(self.lone)
+            self._notify_assigned([self.lone])
             self.done = True
             return
 
@@ -218,12 +221,17 @@ class StreakSwissRun:
             self.max_rounds = max_rounds
         else:
             self.max_rounds = 1
+        # Each round adds at most one lineup of new players.
+        self._played_arr = np.empty(
+            min(pool.size, self.max_rounds * self.players_per_game),
+            dtype=np.int64,
+        )
 
     # -- drawing newcomers -------------------------------------------------
 
-    def _notify_assigned(self, player: int) -> None:
+    def _notify_assigned(self, lineup: List[int]) -> None:
         if self.on_assign is not None:
-            self.on_assign(player)
+            self.on_assign(lineup)
 
     def _draw_new(self, n: int) -> List[int]:
         if self._fresh is not None:
@@ -234,8 +242,7 @@ class StreakSwissRun:
         attempts = 0
         while len(out) < n and attempts < 20:
             batch = self.pool.sample(max(2 * n, 8), self.rng)
-            for i in batch:
-                iv = int(i)
+            for iv in batch.tolist():
                 if iv not in self._drawn:
                     self._drawn.add(iv)
                     out.append(iv)
@@ -247,14 +254,12 @@ class StreakSwissRun:
     def _select_veterans(self, n: int) -> List[int]:
         """Pick ``n`` previously scored players, champion always included.
 
-        ``_played_list`` is the ordered list of scored players and
-        ``_played`` its index map, both maintained incrementally — so the
-        membership test is O(1) and the selection weights come from one
-        vectorised score gather instead of a per-player pool rebuild.
+        The selection weights come from one vectorised score gather over
+        the played array, and the picks are one fancy index into it.
         """
         if n <= 0:
             return []
-        members = self._played_list
+        members = self._played_arr[: len(self._played)]
         champion_pos = self._played.get(self.champion)
         chosen: List[int] = [self.champion] if champion_pos is not None else []
         want = n - len(chosen)
@@ -269,7 +274,7 @@ class StreakSwissRun:
                 picks = self.rng.choice(
                     len(members), size=take, replace=False, p=weights / total
                 )
-                chosen.extend(members[int(p)] for p in picks)
+                chosen.extend(members[picks].tolist())
         return chosen[:n]
 
     # -- the round protocol ------------------------------------------------
@@ -299,10 +304,7 @@ class StreakSwissRun:
         if len(lineup) < 2:
             self.done = True
             return None
-        for idx in lineup:
-            if idx not in self._assigned:
-                self._assigned.add(idx)
-                self._notify_assigned(idx)
+        self._notify_assigned(lineup)
         self._lineup = lineup
         return lineup
 
@@ -326,10 +328,10 @@ class StreakSwissRun:
     def _observe(self, winner: int) -> None:
         """Fold the played lineup's winner into the streak state."""
         played = self._played
-        for idx in self._lineup or ():
-            if idx not in played:
-                played[idx] = len(played)
-                self._played_list.append(idx)
+        first = len(played)
+        new = [idx for idx in self._lineup or () if idx not in played]
+        played.update(zip(new, range(first, first + len(new))))
+        self._played_arr[first: first + len(new)] = new
         self._lineup = None
         self.round_no += 1
 
@@ -350,7 +352,7 @@ class StreakSwissRun:
     @property
     def played_players(self) -> List[int]:
         """Everyone who has played a game, in first-appearance order."""
-        return self._played_list
+        return self._played_arr[: len(self._played)].tolist()
 
 
 class StreakSwiss:
@@ -388,8 +390,8 @@ class StreakSwiss:
         pool: PlayerPool,
         rng: np.random.Generator,
         *,
-        scores: Callable[[Sequence[int]], np.ndarray],
-        on_assign: Optional[Callable[[int], None]] = None,
+        scores: Callable[[np.ndarray], np.ndarray],
+        on_assign: Optional[Callable[[List[int]], None]] = None,
     ) -> StreakSwissRun:
         return StreakSwissRun(
             self, pool, rng, scores=scores, on_assign=on_assign

@@ -156,7 +156,7 @@ class HybridTuner:
         unique = list(dict.fromkeys(winners))
         if len(unique) == 1:
             return unique[0]
-        records = RecordBook()
+        records = RecordBook(app.space.size)
         playoffs = BarragePlayoffs(env, app, self.dg_config, records)
         if len(unique) > 4:
             # Seed a 4-player playoff with one qualifying multi-player game.

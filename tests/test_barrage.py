@@ -18,7 +18,7 @@ def app():
 
 def playoffs(app, cfg=None, seed=0):
     env = CloudEnvironment(seed=seed)
-    records = RecordBook()
+    records = RecordBook(app.space.size)
     return BarragePlayoffs(env, app, cfg or DarwinGameConfig(), records), records, env
 
 
@@ -65,7 +65,7 @@ class TestPlayoffs:
         # Each playoff game books the full duration of the faster player,
         # so ledger must be clearly nonzero and scores recorded for all.
         assert env.ledger.core_hours > before
-        assert all(records.get(q).games_played >= 1 for q in players)
+        assert (records.games[players] >= 1).all()
 
 
 class TestFinal:

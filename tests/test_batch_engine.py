@@ -7,6 +7,7 @@ in the round.  These tests pin that equivalence, the determinism of whole
 tunes, and the round semantics of ``play_round``.
 """
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -82,7 +83,8 @@ class TestBatchMatchesSingle:
             for s in range(3)
         ]
         env_round, env_seq = env(7), env(7)
-        records_round, records_seq = RecordBook(), RecordBook()
+        records_round = RecordBook(app.space.size)
+        records_seq = RecordBook(app.space.size)
         reports_round = play_round(
             env_round, app, lineups, cfg, records_round, label="t"
         )
@@ -95,12 +97,10 @@ class TestBatchMatchesSingle:
             assert a.execution_scores == b.execution_scores
             assert a.winner_position == b.winner_position
             assert a.outcome == b.outcome
-        for lineup in lineups:
-            for p in lineup:
-                assert (
-                    records_round.get(p).execution_scores
-                    == records_seq.get(p).execution_scores
-                )
+        for column in ("score_sums", "rank_sums", "games", "wins", "region_id"):
+            assert np.array_equal(
+                getattr(records_round, column), getattr(records_seq, column)
+            ), column
 
     def test_round_advances_clock_by_longest_game(self, app):
         lineups = [

@@ -24,6 +24,36 @@ class TestParser:
             build_parser().parse_args(["experiment", "--name", "fig99"])
 
 
+class TestScaleArgument:
+    """``--scale`` takes a preset name or a numeric level cap everywhere."""
+
+    COMMANDS = (
+        ["tune"], ["sweep"], ["cache", "warm"], ["experiment", "--name", "fig10"],
+    )
+
+    @pytest.mark.parametrize("command", COMMANDS)
+    def test_numbers_become_level_caps(self, command):
+        assert build_parser().parse_args(command + ["--scale", "2"]).scale == 2
+        assert build_parser().parse_args(command + ["--scale", "test"]).scale == "test"
+
+    @pytest.mark.parametrize("command", COMMANDS)
+    @pytest.mark.parametrize("bad", ["0", "-3", "huge"])
+    def test_bad_scale_exits_2_with_one_line_fix(self, command, bad, capsys):
+        with pytest.raises(SystemExit) as exc:
+            build_parser().parse_args(command + [f"--scale={bad}"])
+        assert exc.value.code == 2
+        errors = [line for line in capsys.readouterr().err.splitlines()
+                  if "error:" in line]
+        assert len(errors) == 1
+        assert errors[0].endswith("(fix --scale)")
+        assert "Traceback" not in errors[0]
+
+    def test_tune_with_numeric_scale(self, capsys):
+        code = main(["tune", "--app", "lammps", "--scale", "2", "--seed", "1"])
+        assert code == 0
+        assert "DarwinGame on lammps" in capsys.readouterr().out
+
+
 class TestCommands:
     def test_tune_runs(self, capsys):
         code = main(["tune", "--app", "redis", "--scale", "test", "--seed", "1"])

@@ -19,9 +19,9 @@ def app():
 def run_global(app, entrants, cfg=None, *, seed=0, env_seed=0, records=None):
     cfg = cfg or DarwinGameConfig()
     env = CloudEnvironment(seed=env_seed)
-    records = records or RecordBook()
+    records = records or RecordBook(app.space.size)
     for pos, e in enumerate(entrants):
-        records.assign_region(e, pos % 7)
+        records.assign_regions([e], pos % 7)
     phase = DoubleEliminationGlobalPhase(env, app, cfg, records)
     return phase.run(entrants, ensure_rng(seed)), records
 
@@ -88,15 +88,15 @@ class TestGroupDiversity:
         """Players from the same region should spread across groups."""
         cfg = DarwinGameConfig(players_per_game=4)
         env = CloudEnvironment(seed=0)
-        records = RecordBook()
+        records = RecordBook(app.space.size)
         entrants = list(range(40))
         # Ten regions, four players each.
         for e in entrants:
-            records.assign_region(e, e // 4)
+            records.assign_regions([e], e // 4)
         phase = DoubleEliminationGlobalPhase(env, app, cfg, records)
         groups = phase._form_groups(entrants, 10, ensure_rng(0))
         for group in groups:
-            regions = [records.get(p).region_id for p in group]
+            regions = records.region_id[group].tolist()
             assert len(set(regions)) == len(regions)
 
 
@@ -105,7 +105,7 @@ class TestJudging:
         """With use_consistency_score, an erratic player can lose the group."""
         cfg = DarwinGameConfig()
         env = CloudEnvironment(seed=0)
-        records = RecordBook()
+        records = RecordBook(app.space.size)
         # Pre-load history: player 1 consistent winner, player 2 erratic.
         records.record_game([1, 2, 3], [1.0, 0.95, 0.4])
         records.record_game([1, 2, 3], [1.0, 0.3, 0.6])
@@ -117,7 +117,7 @@ class TestJudging:
     def test_execution_only_mode(self, app):
         cfg = DarwinGameConfig(use_consistency_score=False)
         env = CloudEnvironment(seed=0)
-        records = RecordBook()
+        records = RecordBook(app.space.size)
         records.record_game([1, 2], [0.5, 1.0])
         phase = DoubleEliminationGlobalPhase(env, app, cfg, records)
         winner_pos = phase._judge_game([1, 2], [1.0, 0.9])

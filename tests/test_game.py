@@ -37,27 +37,28 @@ class TestExecutionScores:
 class TestPlayGame:
     def test_game_records_scores(self, app):
         env = CloudEnvironment(seed=0)
-        records = RecordBook()
+        records = RecordBook(app.space.size)
         players = [int(i) for i in app.space.sample_indices(8, seed=1, replace=False)]
         report = play_game(env, app, players, DarwinGameConfig(), records)
         assert report.winner_index in players
         assert max(report.execution_scores) == pytest.approx(1.0)
-        assert all(records.get(p).games_played == 1 for p in players)
+        assert (records.games[players] == 1).all()
+        assert records.games.sum() == len(players)
 
     def test_duplicate_players_rejected(self, app):
         env = CloudEnvironment(seed=0)
         with pytest.raises(TournamentError):
-            play_game(env, app, [1, 1], DarwinGameConfig(), RecordBook())
+            play_game(env, app, [1, 1], DarwinGameConfig(), RecordBook(app.space.size))
 
     def test_empty_game_rejected(self, app):
         env = CloudEnvironment(seed=0)
         with pytest.raises(TournamentError):
-            play_game(env, app, [], DarwinGameConfig(), RecordBook())
+            play_game(env, app, [], DarwinGameConfig(), RecordBook(app.space.size))
 
     def test_early_termination_override(self, app):
         """Playoffs-style games must run to completion."""
         env = CloudEnvironment(seed=0)
-        records = RecordBook()
+        records = RecordBook(app.space.size)
         # A fast and a very slow player would normally early-terminate.
         idx = np.arange(app.space.size)
         times = app.true_time(idx)
@@ -71,16 +72,16 @@ class TestPlayGame:
 
     def test_clock_advance_flag(self, app):
         env = CloudEnvironment(seed=0)
-        play_game(env, app, [0, 1], DarwinGameConfig(), RecordBook(),
+        play_game(env, app, [0, 1], DarwinGameConfig(), RecordBook(app.space.size),
                   advance_clock=False)
         assert env.now == 0.0
-        play_game(env, app, [0, 1], DarwinGameConfig(), RecordBook(),
+        play_game(env, app, [0, 1], DarwinGameConfig(), RecordBook(app.space.size),
                   advance_clock=True)
         assert env.now > 0.0
 
     def test_config_early_termination_flag(self, app):
         env = CloudEnvironment(seed=0)
-        records = RecordBook()
+        records = RecordBook(app.space.size)
         idx = np.arange(app.space.size)
         times = app.true_time(idx)
         fast, slow = int(np.argmin(times)), int(np.argmax(times))
