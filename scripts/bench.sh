@@ -69,7 +69,8 @@ def rows(path):
         return []
 
 def bench_id(row):
-    # Rows written before the exec-mode axis existed ran the process path.
+    # Rows written before and after the exec-mode axis existed ran the
+    # process path; only rows from that window name it.
     row = dict(row)
     row.setdefault("exec_mode", "process")
     return tuple(sorted((k, row[k]) for k in row if k not in MEASURED))

@@ -80,11 +80,6 @@ from repro.tuners import (
 )
 from repro.types import ChoiceEvaluation, TuningResult
 
-# The array-namespace facade of the simulation hot path and its backend
-# registry (numpy default; cupy/jax via REPRO_ARRAY_BACKEND/--array-backend).
-from repro import xp
-from repro.backend import active_backend, set_array_backend
-
 # The supported programmatic surface (repro.api.__all__); imported last so
 # the facade may lean on everything above.
 from repro import api
@@ -151,7 +146,6 @@ __all__ = [
     "Tuner",
     "TuningResult",
     "VMSpec",
-    "active_backend",
     "api",
     "fetch_report",
     "iter_results",
@@ -168,11 +162,9 @@ __all__ = [
     "record_trace",
     "register_scenario",
     "render_report",
-    "set_array_backend",
     "split_subspaces",
     "submit_grid",
     "summarise",
     "validate_grid",
-    "xp",
     "__version__",
 ]

@@ -228,7 +228,6 @@ class SweepOptions:
     telemetry: bool = False
     profile: bool = False
     fault_plan: Optional[FaultPlan] = None
-    exec_mode: str = "process"
 
     def open_store(self) -> Optional[ResultStore]:
         """The store these options describe (``None`` = in-memory run)."""
@@ -368,7 +367,6 @@ class JobHandle:
             fault_plan=options.fault_plan,
             telemetry=options.telemetry,
             profile=options.profile,
-            exec_mode=options.exec_mode,
         )
         try:
             report = runner.run(self.grid.specs(), grid=self.grid)
@@ -620,7 +618,6 @@ OPTIONS_SCHEMA = {
         "task_timeout": {"type": "number", "minimum": 0},
         "telemetry": {"type": "boolean"},
         "profile": {"type": "boolean"},
-        "exec_mode": {"type": "string", "enum": ["process", "stacked"]},
     },
 }
 
@@ -681,8 +678,8 @@ def validate_payload(payload, schema: dict, *, path: str = "$") -> None:
             unknown = sorted(set(payload) - set(properties))
             if unknown:
                 raise SchemaError(
-                    f"{path}: unknown key(s) {unknown}; allowed: "
-                    f"{sorted(properties)}"
+                    f"{path}.{unknown[0]}: unknown key(s) {unknown}; "
+                    f"allowed: {sorted(properties)}"
                 )
         for key, value in payload.items():
             if key in properties:

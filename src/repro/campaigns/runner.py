@@ -17,8 +17,8 @@ for the drivers' former hand-rolled loops:
   campaigns are reclaimed and retried with exponential backoff, hung
   campaigns are killed at ``task_timeout``, and a campaign that exhausts
   its ``max_retries`` budget is quarantined as ``"failed"`` so the sweep
-  *completes*.  Inline execution (``jobs=1``) applies the same retry
-  policy without a pool.
+  *completes*.  Inline execution (``jobs=1``) drives the same
+  :class:`~repro.campaigns.dispatch.TaskLedger` retry policy without a pool.
 * **Resume** — with a :class:`~repro.campaigns.store.base.ResultStore`
   attached (any backend: single-file JSONL, sharded directory, SQLite),
   every finished campaign is checkpointed immediately and specs whose IDs
@@ -51,6 +51,7 @@ from repro.caching import (
     set_process_surface_cache,
 )
 from repro.campaigns.dispatch import (
+    LEASE_QUARANTINED,
     Dispatcher,
     TaskLedger,
     _pool_context,
@@ -90,9 +91,6 @@ TRACEBACK_FRAMES = 20
 #: How many times a store append is tried before the failure propagates
 #: (checkpoint I/O blips — and injected store faults — are transient).
 STORE_APPEND_ATTEMPTS = 3
-
-#: Execution modes the runner understands (``--exec-mode`` on the CLI).
-EXEC_MODES = ("process", "stacked")
 
 
 def cached_application(name: str, scale):
@@ -207,11 +205,6 @@ def execute_campaign(spec: CampaignSpec, attempt: int = 1) -> CampaignRecord:
             )
 
 
-def _execute_indexed(item: Tuple[int, CampaignSpec]) -> Tuple[int, CampaignRecord]:
-    index, spec = item
-    return index, execute_campaign(spec)
-
-
 @dataclass(frozen=True)
 class SweepReport:
     """Outcome of one :meth:`CampaignRunner.run` call.
@@ -303,13 +296,6 @@ class CampaignRunner:
         fault_plan: optional :class:`repro.faults.FaultPlan` injecting
             deterministic chaos into every attempt (installed inline and in
             every worker; restored afterwards).
-        exec_mode: ``"process"`` (default) executes inline or on the worker
-            pool as ``jobs`` dictates; ``"stacked"`` runs in-process on the
-            :class:`repro.core.stacked.StackedExecutor`, fusing concurrent
-            tournament rounds of same-key campaigns into one tensor pass
-            (``jobs`` is ignored — stacking is the 1-core parallelism).
-            Results are bit-identical across modes; retry, quarantine,
-            fault-injection, and resume semantics are unchanged.
         telemetry: record this sweep's event stream.  ``True`` journals to
             the store's ``.telemetry`` sidecar (requires a store); a path
             journals there explicitly.  Off (the default) the bus stays
@@ -333,7 +319,6 @@ class CampaignRunner:
         fault_plan: Optional[FaultPlan] = None,
         telemetry: Union[bool, str, Path] = False,
         profile: Union[bool, str, Path] = False,
-        exec_mode: str = "process",
     ):
         if jobs < 1:
             raise ReproError(f"jobs must be >= 1, got {jobs}")
@@ -341,12 +326,7 @@ class CampaignRunner:
             raise ReproError(f"max_retries must be >= 0, got {max_retries}")
         if backoff < 0:
             raise ReproError(f"backoff must be >= 0, got {backoff}")
-        if exec_mode not in EXEC_MODES:
-            raise ReproError(
-                f"exec_mode must be one of {EXEC_MODES}, got {exec_mode!r}"
-            )
         self.jobs = jobs
-        self.exec_mode = exec_mode
         self.store = store
         self.progress = progress
         self.cache_dir = Path(cache_dir) if cache_dir is not None else None
@@ -535,51 +515,40 @@ class CampaignRunner:
     def _execute(self, pending: Sequence[Tuple[int, CampaignSpec]]):
         if not pending:
             return
-        if self.exec_mode == "stacked" and len(pending) > 1:
-            yield from self._execute_stacked(pending)
-            return
         if self.jobs == 1 or len(pending) == 1:
             yield from self._execute_inline(pending)
             return
         yield from self._execute_dispatched(pending)
 
     def _execute_inline(self, pending: Sequence[Tuple[int, CampaignSpec]]):
-        """No-pool execution with the same retry/quarantine policy.
+        """No-pool execution under the dispatcher's retry policy.
 
-        Process-killing faults degrade to raised exceptions inline (see
-        :mod:`repro.faults`), so the convergence contract — and the stored
-        bytes minus attempt metadata — are identical to the dispatched
-        path.
+        An in-memory :class:`TaskLedger` decides retry or quarantine and the
+        backoff delay exactly as on the dispatched path; it has no journal,
+        so a serial sweep leaves no ledger sidecar.  Process-killing faults
+        degrade to raised exceptions inline (see :mod:`repro.faults`), so
+        the convergence contract — and the stored bytes minus attempt
+        metadata — are identical to the dispatched path.
         """
+        ledger = TaskLedger(max_retries=self.max_retries, backoff=self.backoff)
         for index, spec in pending:
-            attempt = 0
+            campaign_id = spec.campaign_id
+            ledger.register(campaign_id)
             while True:
-                attempt += 1
+                attempt = ledger.lease(campaign_id, 0, time.monotonic())
                 record = execute_campaign(spec, attempt=attempt)
                 if record.ok:
+                    ledger.complete(campaign_id)
                     yield index, record
                     break
-                if attempt > self.max_retries:
+                now = time.monotonic()
+                disposition = ledger.requeue(campaign_id, record.error, now)
+                if disposition == LEASE_QUARANTINED:
                     yield index, quarantine_record(record)
                     break
-                if self.backoff > 0:
-                    time.sleep(self.backoff * (2 ** (attempt - 1)))
-
-    def _execute_stacked(self, pending: Sequence[Tuple[int, CampaignSpec]]):
-        """In-process mega-batched execution (``exec_mode="stacked"``).
-
-        Same semantics as the inline path — same retries, quarantine,
-        per-record checkpoints — but same-key campaigns advance in lockstep
-        and their concurrent rounds are fused into one stacked tensor pass
-        (see :mod:`repro.core.stacked`).  No ledger: like inline, there is
-        no second process to lease work to or reclaim it from.
-        """
-        from repro.core.stacked import StackedExecutor
-
-        executor = StackedExecutor(
-            max_retries=self.max_retries, backoff=self.backoff
-        )
-        yield from executor.run(pending)
+                delay = ledger.record(campaign_id).next_eligible - now
+                if delay > 0:
+                    time.sleep(delay)
 
     def _execute_dispatched(self, pending: Sequence[Tuple[int, CampaignSpec]]):
         cache_dir = str(self.cache_dir) if self.cache_dir is not None else None

@@ -243,32 +243,9 @@ def _fault_plan_from_args(args: argparse.Namespace):
     return FaultPlan.parse(text) if text else None
 
 
-def _apply_array_backend(args: argparse.Namespace) -> None:
-    """Activate ``--array-backend`` (or ``REPRO_ARRAY_BACKEND``) process-wide.
-
-    Falling back (backend absent / probe failure) is the backend layer's
-    job and already logged there; the CLI only reports what was activated
-    when it differs from the request.
-    """
-    requested = getattr(args, "array_backend", "")
-    if not requested:
-        return
-    from repro.backend import set_array_backend
-
-    backend = set_array_backend(requested)
-    if backend.name != requested:
-        _LOG.warning(
-            "--array-backend %s unavailable; running on %s",
-            requested, backend.name,
-        )
-    else:
-        _LOG.info("array backend: %s", backend.name)
-
-
 def _options_from_args(args: argparse.Namespace, store) -> api.SweepOptions:
     """One :class:`repro.api.SweepOptions` from the shared CLI flags."""
     backend = getattr(args, "store_backend", "auto")
-    _apply_array_backend(args)
     return api.SweepOptions(
         store=store,
         store_backend=None if backend == "auto" else backend,
@@ -281,7 +258,6 @@ def _options_from_args(args: argparse.Namespace, store) -> api.SweepOptions:
         telemetry=args.telemetry,
         profile=args.profile,
         fault_plan=_fault_plan_from_args(args),
-        exec_mode=getattr(args, "exec_mode", "process"),
     )
 
 
@@ -743,22 +719,6 @@ def _add_execution(parser: argparse.ArgumentParser) -> None:
         help="surface-cache directory: warm it before the sweep and prewarm "
              "every worker from it (empty = no persistent cache)",
     )
-    parser.add_argument(
-        "--exec-mode", default="process", choices=("process", "stacked"),
-        help="process (default): inline or worker-pool execution per --jobs; "
-             "stacked: run campaigns in lockstep in one process, fusing "
-             "concurrent tournament rounds of same-key campaigns into one "
-             "tensor pass — the 1-core throughput lever; results are "
-             "bit-identical across modes",
-    )
-    parser.add_argument(
-        "--array-backend", default="",
-        choices=("", "numpy", "cupy", "jax"),
-        help="array namespace for the simulation hot path (repro.xp): numpy "
-             "(default), or cupy/jax when installed; a backend that is "
-             "absent or fails its capability probe falls back to numpy "
-             "with a warning (env: REPRO_ARRAY_BACKEND)",
-    )
 
 
 def _add_store_backend(parser: argparse.ArgumentParser) -> None:
@@ -1112,45 +1072,6 @@ def main(argv: Optional[List[str]] = None) -> int:
         # raise again, and exit quietly like any well-behaved filter.
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         return 0
-
-
-# -- deprecated aliases ---------------------------------------------------
-
-#: Names that used to live in (or be re-exported from) this module before
-#: the sweep path moved behind :mod:`repro.api`.  Importing them from here
-#: still works but warns; new code should use the canonical home.
-_MOVED = {
-    "CampaignRunner": ("repro.campaigns", "CampaignRunner"),
-    "ResultStore": ("repro.campaigns", "ResultStore"),
-    "snapshot": ("repro.telemetry", "snapshot"),
-    "summarise": ("repro.campaigns", "summarise"),
-    "summarise_by_format": ("repro.campaigns", "summarise_by_format"),
-    "summarise_by_scenario": ("repro.campaigns", "summarise_by_scenario"),
-    "summarise_failures": ("repro.campaigns", "summarise_failures"),
-    "summary_table": ("repro.campaigns", "summary_table"),
-    "scenario_table": ("repro.campaigns", "scenario_table"),
-    "format_table": ("repro.campaigns", "format_table"),
-    "failure_table": ("repro.campaigns", "failure_table"),
-}
-
-
-def __getattr__(name: str):
-    try:
-        module_name, attr = _MOVED[name]
-    except KeyError:
-        raise AttributeError(
-            f"module {__name__!r} has no attribute {name!r}"
-        ) from None
-    import importlib
-    import warnings
-
-    warnings.warn(
-        f"repro.cli.{name} is deprecated; import {attr} from {module_name} "
-        f"(or use the repro.api facade)",
-        DeprecationWarning,
-        stacklevel=2,
-    )
-    return getattr(importlib.import_module(module_name), attr)
 
 
 if __name__ == "__main__":  # pragma: no cover - exercised via __main__

@@ -203,9 +203,10 @@ class CloudEnvironment:
     ) -> List[GameOutcome]:
         """Run one *round* of co-located games, one parallel VM per game.
 
-        All games start at the current simulated time and are simulated as
-        one stacked tensor computation (see
-        :func:`repro.cloud.colocation.simulate_colocated_batch`).  Each game
+        All games start at the current simulated time and share the host's
+        interference process; the round is simulated by
+        :func:`repro.cloud.colocation.simulate_colocated_batch` as stacked
+        ``(games, segments, players)`` tensors.  Each game
         draws from its own child generator spawned off the run stream and
         keyed by its position in ``games``, so a round is seed-deterministic
         and splitting it into smaller batches does not change outcomes.

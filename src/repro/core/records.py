@@ -23,7 +23,6 @@ from typing import Sequence
 
 import numpy as np
 
-import repro.xp as xp
 from repro.analysis.stats import rank_with_ties
 from repro.errors import TournamentError
 
@@ -46,11 +45,11 @@ class RecordBook:
         if size < 1:
             raise TournamentError(f"a record book needs size >= 1, got {size}")
         self.size = size
-        self.score_sums = xp.zeros(size)
-        self.rank_sums = xp.zeros(size)
-        self.games = xp.zeros(size, dtype=np.int64)
-        self.wins = xp.zeros(size, dtype=np.int64)
-        self.region_id = xp.full(size, -1, dtype=np.int64)
+        self.score_sums = np.zeros(size)
+        self.rank_sums = np.zeros(size)
+        self.games = np.zeros(size, dtype=np.int64)
+        self.wins = np.zeros(size, dtype=np.int64)
+        self.region_id = np.full(size, -1, dtype=np.int64)
         self._total_evaluations = 0
 
     def _checked(self, indices: Sequence[int]) -> np.ndarray:
@@ -92,9 +91,9 @@ class RecordBook:
         inverse = 1.0 / np.asarray(ranks, dtype=float)
         # ``add.at`` is unbuffered and applies repeated indices in positional
         # order: each sum accumulates exactly as a per-game loop would.
-        xp.add.at(self.score_sums, idx, scores)
-        xp.add.at(self.rank_sums, idx, inverse)
-        xp.add.at(self.games, idx, 1)
+        np.add.at(self.score_sums, idx, scores)
+        np.add.at(self.rank_sums, idx, inverse)
+        np.add.at(self.games, idx, 1)
         self.wins[idx[winner_pos]] += 1
         self._total_evaluations += len(idx)
         return winner_pos
@@ -107,12 +106,12 @@ class RecordBook:
     def mean_execution_scores(self, indices: Sequence[int]) -> np.ndarray:
         """Mean execution score per configuration; 0.0 before its first game."""
         idx = self._checked(indices)
-        return self.score_sums[idx] / xp.maximum(self.games[idx], 1)
+        return self.score_sums[idx] / np.maximum(self.games[idx], 1)
 
     def consistency_scores(self, indices: Sequence[int]) -> np.ndarray:
         """Mean of 1/rank per configuration (Fig. 7); 0.0 before its first game."""
         idx = self._checked(indices)
-        return self.rank_sums[idx] / xp.maximum(self.games[idx], 1)
+        return self.rank_sums[idx] / np.maximum(self.games[idx], 1)
 
     def combined_rank_order(
         self,

@@ -282,18 +282,6 @@ def gauge(name: str, value: float, **kwargs: object) -> None:
     emit_event(name, type=TYPE_GAUGE, value=value, **kwargs)  # type: ignore[arg-type]
 
 
-def histogram(name: str, value: float, **kwargs: object) -> None:
-    """Emit one histogram observation (no-op while disabled).
-
-    Unlike a span — whose value is always elapsed seconds — a histogram
-    observes an arbitrary distribution (e.g. ``stack.width``: how many
-    campaign rounds each fused simulation pass carried).
-    """
-    if not _EMITTER.enabled:
-        return
-    emit_event(name, type=TYPE_HISTOGRAM, value=value, **kwargs)  # type: ignore[arg-type]
-
-
 @contextmanager
 def span(
     name: str,

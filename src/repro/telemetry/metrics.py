@@ -13,8 +13,9 @@ so the mapping from events to metrics lives in exactly one place,
 * ``span`` events observe their duration into a ``<name>_seconds``
   histogram (count / sum / min / max / log-spaced buckets);
 * ``histogram`` events observe their value into a histogram of the same
-  name (no unit suffix — e.g. ``stack_width``, the fused-round width
-  distribution of a stacked sweep).
+  name, with no unit suffix because the value is not a duration.  No
+  current site emits them; sidecars written by older versions do, and
+  they still replay.
 
 Dumps use the Prometheus text exposition format (``# TYPE`` comments, one
 ``name value`` sample per line, ``{label="..."}`` selectors), so the output
@@ -185,8 +186,8 @@ class MetricsRegistry:
                 self._histograms[key] = Histogram()
             self._histograms[key].observe(value)
         elif event_type == "histogram":
-            # Plain-value distributions (e.g. ``stack_width``): no unit
-            # suffix — the value is whatever the event observed, not time.
+            # Plain-value distributions: no unit suffix — the value is
+            # whatever the event observed, not time.
             key = (metric_name, labels)
             if key not in self._histograms:
                 self._histograms[key] = Histogram()

@@ -175,6 +175,14 @@ class TestWireFormat:
         merged = api.options_from_payload({"jobs": 2}, defaults=defaults)
         assert merged.jobs == 2 and merged.telemetry is True
 
+    def test_removed_exec_mode_option_is_rejected_by_path(self):
+        with pytest.raises(api.SchemaError, match=r"\$\.options\.exec_mode"):
+            api.validate_payload(
+                {"grid": {"apps": ["redis"]},
+                 "options": {"exec_mode": "process"}},
+                api.SWEEP_REQUEST_SCHEMA,
+            )
+
     def test_options_payload_cannot_name_a_store(self):
         with pytest.raises(api.SchemaError, match="unknown key"):
             api.validate_payload(

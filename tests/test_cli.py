@@ -54,6 +54,21 @@ class TestScaleArgument:
         assert "DarwinGame on lammps" in capsys.readouterr().out
 
 
+class TestRemovedExecutionKnobs:
+    """Sweeps have one execution path; the old knobs are plain usage errors."""
+
+    @pytest.mark.parametrize("command", [["sweep", "--apps", "redis"],
+                                         ["resume", "s.jsonl"]])
+    @pytest.mark.parametrize("flag", [["--exec-mode", "stacked"],
+                                      ["--array-backend", "numpy"]])
+    def test_flag_is_unrecognized(self, command, flag, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(command + flag)
+        assert exc.value.code == 2
+        assert "unrecognized arguments: " + " ".join(flag) \
+            in capsys.readouterr().err
+
+
 class TestCommands:
     def test_tune_runs(self, capsys):
         code = main(["tune", "--app", "redis", "--scale", "test", "--seed", "1"])

@@ -261,6 +261,43 @@ class TestQuarantine:
                           sort_keys=True)
 
 
+class TestInlineRetryPolicy:
+    """``jobs=1`` retries through the same TaskLedger policy as dispatch."""
+
+    @pytest.fixture()
+    def sleeps(self, monkeypatch):
+        import time
+
+        delays = []
+        monkeypatch.setattr(time, "sleep", delays.append)
+        return delays
+
+    def _run(self, small_grid, max_retries, **kwargs):
+        spec = next(iter(small_grid.specs()))
+        plan = FaultPlan(rate=1.0, kinds=("transient",), max_faults=2, seed=3)
+        return CampaignRunner(
+            jobs=1, max_retries=max_retries, backoff=0.1, fault_plan=plan,
+            **kwargs,
+        ).run([spec]).records[0]
+
+    def test_backoff_doubles_per_retry(self, small_grid, sleeps):
+        record = self._run(small_grid, max_retries=2)
+        assert record.ok and record.attempts == 3
+        assert sleeps == [pytest.approx(0.1), pytest.approx(0.2)]
+
+    def test_exhausted_budget_quarantines(self, small_grid, sleeps):
+        record = self._run(small_grid, max_retries=1)
+        assert record.status == STATUS_FAILED and record.attempts == 2
+        assert record.error.startswith(f"{RetryExhausted.__name__}:")
+        assert sleeps == [pytest.approx(0.1)]
+
+    def test_serial_sweep_writes_no_ledger(self, tmp_path, small_grid, sleeps):
+        store = CampaignStore(tmp_path / "sweep.jsonl")
+        record = self._run(small_grid, max_retries=2, store=store)
+        assert record.ok and len(store.records()) == 1
+        assert not ledger_path_for(store.path).exists()
+
+
 class TestStoreFaults:
     def test_append_faults_are_retried_transparently(
         self, tmp_path, small_grid, clean_records

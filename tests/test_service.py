@@ -233,6 +233,15 @@ class TestErrors:
         assert status == 400 and "store" in body["error"]
 
 
+    def test_removed_exec_mode_option_is_400(self, service):
+        status, body = _request(
+            "POST", f"{service.url}/v1/sweeps",
+            {"grid": GRID, "options": {"exec_mode": "stacked"}},
+            tenant="alice",
+        )
+        assert status == 400
+        assert "$.options.exec_mode" in body["error"]
+
 class TestQuota:
     def test_core_hour_quota_returns_429(self, tmp_path):
         config = ServiceConfig(

@@ -173,6 +173,17 @@ class TestMetricsRegistry:
             'round_play_seconds{label="final"}': {"count": 1, "sum": 0.05}
         }
 
+    def test_histogram_events_from_older_sidecars_replay(self):
+        # No current site emits plain-value histograms, but sidecars on
+        # disk carry them (fused-round widths); replay must keep reading.
+        registry = MetricsRegistry()
+        for width in (2.0, 3.0):
+            registry.ingest({"kind": "telemetry", "name": "stack.width",
+                             "type": "histogram", "value": width})
+        assert registry.to_payload()["histograms"] == {
+            "stack_width": {"count": 2, "sum": 5.0}
+        }
+
     def test_float_fields_never_become_labels(self):
         registry = MetricsRegistry()
         for sim in (1.25, 2.5, 99.875):
